@@ -40,6 +40,16 @@ if [[ -n "${GITHUB_STEP_SUMMARY:-}" && -s "$PYTEST_TAIL" ]]; then
     } >> "$GITHUB_STEP_SUMMARY"
 fi
 
+# The repo benchmark's own tests (load generator, percentiles, knee
+# search, span tracer, workload inputs) live in perfbench/, outside
+# pytest.ini's testpaths, so the suite above never collects them.  Run
+# them as their own strict pass; the suite's extra arguments are not
+# forwarded, since a -k/-m filter could deselect all of them.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q \
+    --strict-markers \
+    -W error::pytest.PytestCollectionWarning \
+    perfbench
+
 # Smoke the training benchmark: runs a tiny train-bench workload and
 # schema-validates the emitted BENCH_train.json, so a bench or schema
 # regression fails `make check` instead of rotting silently.

@@ -22,21 +22,34 @@ def segment_distances(points: np.ndarray, segments: np.ndarray) -> np.ndarray:
     -------
     (N,) minimum Euclidean distance to any segment.
     """
-    points = check_2d(points, "points")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be (N, 2), got {points.shape}")
     segments = np.asarray(segments, dtype=float)
     if segments.ndim != 3 or segments.shape[1:] != (2, 2):
         raise ValueError(f"segments must be (S, 2, 2), got {segments.shape}")
     if len(segments) == 0:
         raise ValueError("need at least one segment")
-    start = segments[:, 0, :][None, :, :]          # (1, S, 2)
-    direction = (segments[:, 1, :] - segments[:, 0, :])[None, :, :]
-    length_sq = np.sum(direction**2, axis=-1)      # (1, S)
-    rel = points[:, None, :] - start               # (N, S, 2)
-    t = np.sum(rel * direction, axis=-1) / np.where(length_sq > 0, length_sq, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    nearest = start + t[:, :, None] * direction
-    distance = np.linalg.norm(points[:, None, :] - nearest, axis=-1)
-    return distance.min(axis=1)
+    # Segment-major (S, N) planes, one per coordinate: each point is a
+    # column, so no (N, S, 2) temporary is built and the reduction runs
+    # over the short segment axis.  Taking the square root after the
+    # minimum is exact because sqrt is monotone and correctly rounded.
+    start = segments[:, 0, :]
+    direction = segments[:, 1, :] - start
+    length_sq = np.sum(direction**2, axis=-1)[:, None]  # (S, 1)
+    sx, sy = start[:, :1], start[:, 1:]
+    dx, dy = direction[:, :1], direction[:, 1:]
+    px, py = points[:, 0], points[:, 1]
+    t = (px - sx) * dx
+    t += (py - sy) * dy
+    t /= np.where(length_sq > 0, length_sq, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = px - (sx + t * dx)
+    ey = py - (sy + t * dy)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return np.sqrt(ex.min(axis=0))
 
 
 def route_graph_segments(nodes: np.ndarray, adjacency: dict) -> np.ndarray:

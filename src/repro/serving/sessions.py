@@ -40,10 +40,14 @@ together is **bitwise identical** to stepping each session alone — the
 rules buy this:
 
 1. Per-session arithmetic uses only that session's rows and (for the
-   particle filter) that session's own RNG; the across-user
-   vectorization batches row-independent work (heading integration,
-   step detection, the ``segment_distances`` map scan, the NObLe
-   network forward) where each output row depends only on its input row.
+   particle filter) that session's own RNG, drawn in that session's
+   step order; the across-user vectorization batches row-independent
+   work (heading integration, step detection, the ``segment_distances``
+   map scan, the NObLe network forward) where each output row depends
+   only on its input row.  The particle filter stacks its map scan per
+   step *ordinal*, not per sample index: the k-th step of every session
+   that made one in the chunk goes into one scan, wherever in the chunk
+   each session took it.
 2. The streaming step detector replicates the offline loops exactly.
    Gyro headings chain the running ``cumsum`` fold across chunks (the
    carried partial sum is the *last fold value*, so every addition
@@ -230,6 +234,43 @@ def _extend_stream(states, segments, dt):
     return ext_v, ext_h, abs_offset
 
 
+def _step_events(states, segments, dt, threshold, min_gap):
+    """Run the streaming step detector; yield each firing sample's steps.
+
+    Sessions are grouped by tail length (see :func:`_extend_stream`).
+    For every sample index at which some session of a group steps,
+    yields ``(rows, headings)``: the indices into ``states`` that fired,
+    in ascending order, and their headings at that sample.  A session's
+    events come out in stream order; ``last_step`` is written back once
+    a group is exhausted, so consume the generator fully.
+    """
+    groups: "dict[int, list[int]]" = {}
+    for i, state in enumerate(states):
+        groups.setdefault(len(state.tail_v), []).append(i)
+    for indices in groups.values():
+        sub = [states[i] for i in indices]
+        ext_v, ext_h, abs_offset = _extend_stream(sub, segments[indices], dt)
+        rows = np.asarray(indices)
+        last_step = np.array([s.last_step for s in sub], dtype=int)
+        for idx in range(1, ext_v.shape[1] - 1):
+            v = ext_v[:, idx]
+            peak = (
+                (v > threshold)
+                & (v >= ext_v[:, idx - 1])
+                & (v >= ext_v[:, idx + 1])
+            )
+            if not peak.any():
+                continue
+            t_abs = abs_offset + idx
+            fire = peak & (t_abs - last_step >= min_gap)
+            if not fire.any():
+                continue
+            last_step[fire] = t_abs[fire]
+            yield rows[fire], ext_h[fire, idx]
+        for row, state in enumerate(sub):
+            state.last_step = int(last_step[row])
+
+
 def _stepper_scalars(state) -> np.ndarray:
     return np.array(
         [
@@ -303,39 +344,15 @@ class StreamingPDRTracker(SessionTracker):
 
     def step_many(self, states, segments):
         segments = self._check_segments(states, segments)
-        out = np.empty((len(states), 2))
-        groups: "dict[int, list[int]]" = {}
+        positions = np.reshape([s.position for s in states], (-1, 2))
+        for rows, h in _step_events(
+            states, segments, self.dt, self.step_threshold, self.min_gap
+        ):
+            positions[rows, 0] += self.stride * np.cos(h)
+            positions[rows, 1] += self.stride * np.sin(h)
         for i, state in enumerate(states):
-            groups.setdefault(len(state.tail_v), []).append(i)
-        for indices in groups.values():
-            sub = [states[i] for i in indices]
-            ext_v, ext_h, abs_offset = _extend_stream(
-                sub, segments[indices], self.dt
-            )
-            positions = np.stack([s.position for s in sub])
-            last_step = np.array([s.last_step for s in sub], dtype=int)
-            for idx in range(1, ext_v.shape[1] - 1):
-                v = ext_v[:, idx]
-                peak = (
-                    (v > self.step_threshold)
-                    & (v >= ext_v[:, idx - 1])
-                    & (v >= ext_v[:, idx + 1])
-                )
-                if not peak.any():
-                    continue
-                t_abs = abs_offset + idx
-                fire = peak & (t_abs - last_step >= self.min_gap)
-                if not fire.any():
-                    continue
-                last_step[fire] = t_abs[fire]
-                h = ext_h[fire, idx]
-                positions[fire, 0] += self.stride * np.cos(h)
-                positions[fire, 1] += self.stride * np.sin(h)
-            for row, i in enumerate(indices):
-                states[i].position = positions[row]
-                states[i].last_step = int(last_step[row])
-                out[i] = positions[row]
-        return out
+            state.position = positions[i]
+        return positions.copy()
 
     def state_arrays(self, state):
         return {
@@ -366,11 +383,13 @@ class StreamingParticleTracker(SessionTracker):
     independent RNG per session (seeded at session creation), so a
     session's end-of-path estimate equals
     ``ParticleFilterTracker(..., seed=<session seed>)
-    .predict_coordinates(data, [path])`` bitwise.  ``step_many``
-    batches the O(particles x route) map-distance scan across every
-    session that stepped at the same sample — the dominant cost — while
-    per-session noise draws stay on the session's own generator, which
-    is what makes batched == solo exact.
+    .predict_coordinates(data, [path])`` bitwise.  ``step_many`` first
+    runs the particle-free step detector over the whole chunk, then
+    batches the O(particles x route) map-distance scan — the dominant
+    cost — once per step ordinal: the k-th step of every session that
+    made one, wherever in the chunk it fell.  Per-session noise draws
+    stay on the session's own generator, in its step order, which is
+    what makes batched == solo exact.
     """
 
     kind = "particle"
@@ -433,47 +452,34 @@ class StreamingParticleTracker(SessionTracker):
 
     def step_many(self, states, segments):
         segments = self._check_segments(states, segments)
-        groups: "dict[int, list[int]]" = {}
-        for i, state in enumerate(states):
-            groups.setdefault(len(state.tail_v), []).append(i)
-        for indices in groups.values():
-            sub = [states[i] for i in indices]
-            ext_v, ext_h, abs_offset = _extend_stream(
-                sub, segments[indices], self.dt
+        # particle-free pass first: every session's step headings, in order
+        events: "list[list[float]]" = [[] for _ in states]
+        for rows, h in _step_events(
+            states, segments, self.dt, _STEP_THRESHOLD, self.min_gap
+        ):
+            for row, heading in zip(rows, h):
+                events[row].append(float(heading))
+        # then one stacked propagation per step ordinal: the k-th step of
+        # every session that made at least k + 1 steps in this chunk
+        for k in range(max(map(len, events), default=0)):
+            fired = [i for i, steps in enumerate(events) if len(steps) > k]
+            self._propagate(
+                [states[i] for i in fired], [events[i][k] for i in fired]
             )
-            last_step = np.array([s.last_step for s in sub], dtype=int)
-            for idx in range(1, ext_v.shape[1] - 1):
-                v = ext_v[:, idx]
-                peak = (
-                    (v > _STEP_THRESHOLD)
-                    & (v >= ext_v[:, idx - 1])
-                    & (v >= ext_v[:, idx + 1])
-                )
-                if not peak.any():
-                    continue
-                t_abs = abs_offset + idx
-                fire = peak & (t_abs - last_step >= self.min_gap)
-                fired = np.nonzero(fire)[0]
-                if not len(fired):
-                    continue
-                last_step[fired] = t_abs[fired]
-                self._propagate(sub, fired, ext_h[:, idx])
-            for row, i in enumerate(indices):
-                states[i].last_step = int(last_step[row])
         return np.stack([self.estimate(state) for state in states])
 
-    def _propagate(self, states, fired, headings_now) -> None:
-        """One step event for the fired sessions (same sample index).
+    def _propagate(self, states, headings) -> None:
+        """One step event for each of ``states``, at its ``headings`` entry.
 
-        Noise draws and re-weighting run per session on its own arrays
-        and generator (the bitwise-parity contract); the map-distance
-        scan — O(particles x route segments), the heavy part — runs as
-        one stacked call across all fired sessions.
+        The states are distinct sessions stepping their k-th step of the
+        chunk, whatever sample index it fell on.  Noise draws and
+        re-weighting run per session on its own arrays and generator, in
+        that session's step order (the bitwise-parity contract); the
+        map-distance scan — O(particles x route segments), the heavy
+        part — runs as one stacked call across all of them.
         """
         n = self.n_particles
-        for i in fired:
-            state = states[i]
-            h_now = float(headings_now[i])
+        for state, h_now in zip(states, headings):
             turn = h_now - state.last_heading
             state.last_heading = h_now
             state.headings += turn + state.rng.normal(
@@ -484,10 +490,9 @@ class StreamingParticleTracker(SessionTracker):
             )
             state.positions[:, 0] += steps * np.cos(state.headings)
             state.positions[:, 1] += steps * np.sin(state.headings)
-        stacked = np.concatenate([states[i].positions for i in fired], axis=0)
+        stacked = np.concatenate([state.positions for state in states], axis=0)
         distances = segment_distances(stacked, self.route_segments)
-        for row, i in enumerate(fired):
-            state = states[i]
+        for row, state in enumerate(states):
             d = distances[row * n : (row + 1) * n]
             state.weights *= np.exp(-0.5 * (d / self.map_sigma) ** 2)
             total = state.weights.sum()

@@ -127,6 +127,16 @@ def _worker_main(
         channel.close()
 
 
+def _started(process) -> bool:
+    """Whether ``process`` exists and its ``start()`` got as far as a pid.
+
+    A handle whose ``start()`` raised (say, a spawn from a script with
+    no ``__main__`` guard) must not be joined: ``join`` asserts the
+    process was started, and that assertion would hide the real error.
+    """
+    return process is not None and process.pid is not None
+
+
 class _WorkerHandle:
     """Parent-side state of one worker: process, channel, shard slice."""
 
@@ -406,7 +416,7 @@ class ShardWorkerPool:
         processes cannot block — before its rings are reset.
         """
         process = handle.process
-        if process is None:
+        if not _started(process):
             return
         if process.is_alive():
             process.terminate()
@@ -477,7 +487,7 @@ class ShardWorkerPool:
         for handle in self.workers:
             handle.channel.request_stop()
         for handle in self.workers:
-            if handle.process is not None:
+            if _started(handle.process):
                 handle.process.join(timeout=5.0)
                 if handle.process.is_alive():
                     handle.process.terminate()

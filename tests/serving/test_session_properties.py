@@ -310,3 +310,75 @@ def test_mixed_segment_lengths_in_one_wave_rejected(walk):
         manager.step_batch(
             [("a", walk.segments[0]), ("b", walk.segments[1][:32])]
         )
+
+
+def test_particle_wave_stacks_one_scan_per_step_ordinal(
+    walk, route_segs, monkeypatch
+):
+    """One ``step_many`` wave over sessions that fire different numbers
+    of steps at different sample indices, with mixed carried-tail
+    lengths, equals each session stepped alone — and the map scan runs
+    once per step ordinal (the most steps any session made), not once
+    per distinct firing sample index."""
+    import repro.serving.sessions as sessions_module
+
+    stream = np.concatenate(list(walk.segments))
+    chunk_len = 120
+    # per session: prefix chunk lengths (tail 0, 1 or 2 samples) and
+    # where in the walk its batched chunk starts
+    layouts = [((), 0), ((1,), 7), ((64,), 90), ((37,), 151),
+               ((1, 20), 233), ((5, 64), 301), ((), 47)]
+    engine = StreamingParticleTracker(route_segs, n_particles=40)
+    states, prefixes, chunks, oracles = [], [], [], []
+    for u, (prefix_lengths, offset) in enumerate(layouts):
+        prefix, at = [], offset
+        for length in prefix_lengths:
+            prefix.append(stream[at : at + length])
+            at += length
+        chunk = stream[at : at + chunk_len]
+        start, heading = walk.references[u], float(walk.headings[u])
+        state = engine.new_state(start, heading, seed=100 + u)
+        for piece in prefix:
+            engine.step_many([state], piece[None])
+        states.append(state)
+        prefixes.append(prefix)
+        chunks.append(chunk)
+        oracles.append(
+            solo_trajectory(engine, prefix + [chunk], start, heading,
+                            seed=100 + u)[-1]
+        )
+    assert {len(s.tail_v) for s in states} == {0, 1, 2}
+
+    # what the wave must do: each session's step count, and how many
+    # distinct firing sample indices the detector reports
+    clones = [
+        engine.restore_state(engine.state_arrays(s), engine.state_meta(s))
+        for s in states
+    ]
+    firing_indices, steps = 0, [0] * len(states)
+    for rows, _ in sessions_module._step_events(
+        clones, np.stack(chunks), engine.dt, sessions_module._STEP_THRESHOLD,
+        engine.min_gap,
+    ):
+        firing_indices += 1
+        for row in rows:
+            steps[row] += 1
+    assert len(set(steps)) > 1
+    assert firing_indices > max(steps)
+
+    calls = []
+    scan = sessions_module.segment_distances
+
+    def counting_scan(points, segments):
+        calls.append(len(points))
+        return scan(points, segments)
+
+    monkeypatch.setattr(sessions_module, "segment_distances", counting_scan)
+    got = engine.step_many(states, np.stack(chunks))
+    for u, oracle in enumerate(oracles):
+        assert np.array_equal(got[u], oracle), f"session {u} diverged"
+    assert len(calls) == max(steps)
+    n = engine.n_particles
+    assert calls == [
+        n * sum(count > k for count in steps) for k in range(max(steps))
+    ]

@@ -247,6 +247,37 @@ class TestValidation:
             assert (first.n_batches, second.n_batches) == (2, 1)
 
 
+class TestSpawnFailure:
+    def test_start_error_propagates_and_channels_are_unlinked(
+        self, sharded_knn, store, fingerprint, monkeypatch
+    ):
+        import multiprocessing.process
+
+        import repro.serving.workers as workers_module
+        from repro.serving.shm import attach_segment
+
+        created = []
+
+        class RecordingChannel(workers_module.WorkerChannel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self.name)
+
+        def refuse_start(process):
+            raise RuntimeError("spawn refused")
+
+        monkeypatch.setattr(workers_module, "WorkerChannel", RecordingChannel)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", refuse_start
+        )
+        with pytest.raises(RuntimeError, match="spawn refused"):
+            _pool(sharded_knn, store, fingerprint, 2)
+        assert len(created) == 2
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                attach_segment(name)
+
+
 class TestResilienceParameterValidation:
     """The watchdog/respawn knobs added for the chaos harness reject
     nonsense up front instead of misbehaving mid-storm."""
